@@ -49,9 +49,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -310,19 +307,11 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad=False):
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 # -- free-standing primitives ---------------------------------------------
-
-
-def relu(x):
-    return _as_tensor(x).relu()
 
 
 def softplus(x):

@@ -8,6 +8,7 @@ One JSON configuration document drives every stage; the subcommands are
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -79,13 +80,30 @@ def _deep_update(base, extra):
             base[k] = v
 
 
+def _build(cls, d, section):
+    """Dataclass `cls` from config section `d`; keys that are not fields of
+    `cls` are a CliError naming the section."""
+    if not isinstance(d, dict):
+        raise CliError(f"{section} must be a JSON object")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise CliError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+    return cls(**d)
+
+
 def _require(path, what):
     if not path or not os.path.exists(path):
         raise CliError(f"missing input: {what} ({path})")
 
 
+def _writable(path):
+    """`path`, after creating its directory if it does not exist."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
+    with open(_writable(path), "w", newline="") as f:
         f.write(f"# schema v{CSV_SCHEMA_VERSION}\n")
         w = csv.writer(f)
         w.writerow(header)
@@ -112,29 +130,28 @@ def _load_inputs(cfg):
     return pois, weather, snapshots
 
 
-def _windows_for(snapshots, pois, weather, stats, cfg, stride=None):
+def _train_config(cfg):
+    return _build(TrainConfig, {**cfg["train"]["config"], "seed": cfg["seed"]},
+                  "train.config")
+
+
+def _windows_for(snapshots, pois, weather, stats, cfg, target_mode,
+                 stride=None):
     t = cfg["train"]["window"]
     return mobility.make_windows(snapshots, pois, weather, stats, t,
                                  stride=stride or cfg["train"]["stride"],
-                                 target_mode=cfg["train"]["config"].get(
-                                     "target_mode", "final_step"))
-
-
-def _train_config(cfg):
-    tc = TrainConfig.from_dict({**TrainConfig().to_dict(),
-                                **cfg["train"]["config"]})
-    tc.seed = cfg["seed"]
-    return tc
+                                 target_mode=target_mode)
 
 
 def cmd_synth(cfg):
-    city = synthcity.CityConfig(seed=cfg["seed"], **cfg["city"]["synth"])
+    city = _build(synthcity.CityConfig,
+                  {"seed": cfg["seed"], **cfg["city"]["synth"]}, "city.synth")
     pois, xy = synthcity.generate_city(city)
     points = synthcity.simulate_traces(city, pois, xy)
     weather = synthcity.generate_weather(city)
-    synthcity.write_poi_csv(pois, cfg["paths"]["pois"])
-    synthcity.write_gps_csv(points, cfg["paths"]["traces"])
-    synthcity.write_weather_csv(weather, cfg["paths"]["weather"])
+    synthcity.write_poi_csv(pois, _writable(cfg["paths"]["pois"]))
+    synthcity.write_gps_csv(points, _writable(cfg["paths"]["traces"]))
+    synthcity.write_weather_csv(weather, _writable(cfg["paths"]["weather"]))
     print(f"synth: {len(pois)} POIs, {len(points)} GPS points, "
           f"{len(weather)} weather records")
 
@@ -149,28 +166,29 @@ def cmd_ingest(cfg):
         interval_s=cfg["city"]["interval_s"],
         max_speed_kmh=cfg["city"]["max_speed_kmh"],
         max_dist_km=cfg["city"]["max_dist_km"])
-    mobility.save_snapshots(snapshots, cfg["paths"]["snapshots"])
+    mobility.save_snapshots(snapshots, _writable(cfg["paths"]["snapshots"]))
     print(f"ingest: {len(snapshots)} snapshots "
           f"({bad} malformed rows skipped)")
 
 
 def cmd_pretrain(cfg):
+    tc = _train_config(cfg)
+    dec = _build(DecoderConfig, cfg["model"]["decoder"], "model.decoder")
     pois, weather, snapshots = _load_inputs(cfg)
+    enc = _build(EncoderConfig,
+                 {"n_types": len(set(p.type_index for p in pois)),
+                  **cfg["model"]["encoder"]}, "model.encoder")
     t = cfg["train"]["window"]
     train_s, val_s, _ = split_dataset(snapshots, "source", t)
     stats = mobility.compute_norm_stats(train_s, pois, weather)
-    train_w = _windows_for(train_s, pois, weather, stats, cfg)
-    val_w = _windows_for(val_s, pois, weather, stats, cfg)
-    enc = EncoderConfig(**{"n_types": len(set(p.type_index for p in pois)),
-                           **cfg["model"]["encoder"]})
-    dec = DecoderConfig(**cfg["model"]["decoder"])
+    train_w = _windows_for(train_s, pois, weather, stats, cfg, tc.target_mode)
+    val_w = _windows_for(val_s, pois, weather, stats, cfg, tc.target_mode)
     model = Model(enc, dec, seed=cfg["seed"])
     step_log, epoch_log = [], []
-    ckpt = pretrain(model, train_w, val_w, stats, _train_config(cfg),
+    ckpt = pretrain(model, train_w, val_w, stats, tc,
                     step_log=step_log, epoch_log=epoch_log)
-    os.makedirs(cfg["paths"]["checkpoints"], exist_ok=True)
-    os.makedirs(cfg["paths"]["reports"], exist_ok=True)
-    ckpt.save(os.path.join(cfg["paths"]["checkpoints"], "pretrain.upck"))
+    ckpt.save(_writable(os.path.join(cfg["paths"]["checkpoints"],
+                                     "pretrain.upck")))
     _write_csv(os.path.join(cfg["paths"]["reports"], "pretrain_steps.csv"),
                ["step", "loss"], [(s, f"{l:.8f}") for s, l in step_log])
     _write_csv(os.path.join(cfg["paths"]["reports"], "pretrain_epochs.csv"),
@@ -181,6 +199,8 @@ def cmd_pretrain(cfg):
 
 
 def cmd_coldstart(cfg):
+    tc = _train_config(cfg)
+    freeze = _build(FreezeSpec, cfg["train"]["freeze"], "train.freeze")
     src = cfg["paths"]["source_checkpoint"]
     _require(src, "source checkpoint")
     pois, weather, snapshots = _load_inputs(cfg)
@@ -189,18 +209,16 @@ def cmd_coldstart(cfg):
     # last fifth of the cold-start slice doubles as the validation series
     cut = max(t, int(len(cold_s) * 0.8))
     stats = mobility.compute_norm_stats(cold_s[:cut], pois, weather)
-    train_w = _windows_for(cold_s[:cut], pois, weather, stats, cfg)
-    val_w = _windows_for(cold_s[max(0, cut - t + 1):], pois, weather, stats, cfg)
+    train_w = _windows_for(cold_s[:cut], pois, weather, stats, cfg,
+                           tc.target_mode)
+    val_w = _windows_for(cold_s[max(0, cut - t + 1):], pois, weather, stats,
+                         cfg, tc.target_mode)
     ckpt = Checkpoint.load(src)
-    freeze = FreezeSpec.from_dict({**FreezeSpec().to_dict(),
-                                   **cfg["train"]["freeze"]})
     step_log, epoch_log = [], []
-    out = coldstart_finetune(ckpt, train_w, val_w, stats, freeze,
-                             _train_config(cfg), step_log=step_log,
-                             epoch_log=epoch_log)
-    os.makedirs(cfg["paths"]["checkpoints"], exist_ok=True)
-    os.makedirs(cfg["paths"]["reports"], exist_ok=True)
-    out.save(os.path.join(cfg["paths"]["checkpoints"], "coldstart.upck"))
+    out = coldstart_finetune(ckpt, train_w, val_w, stats, freeze, tc,
+                             step_log=step_log, epoch_log=epoch_log)
+    out.save(_writable(os.path.join(cfg["paths"]["checkpoints"],
+                                    "coldstart.upck")))
     _write_csv(os.path.join(cfg["paths"]["reports"], "coldstart_epochs.csv"),
                ["epoch", "train_loss", "val_loss"],
                [(e, f"{tr:.8f}", f"{v:.8f}") for e, tr, v in epoch_log])
@@ -208,6 +226,13 @@ def cmd_coldstart(cfg):
 
 
 def cmd_rl_finetune(cfg):
+    episodes = cfg["rl"]["episodes"]
+    if not isinstance(episodes, int) or episodes < 1:
+        raise CliError("rl.episodes must be a positive integer, "
+                       f"not {episodes!r}")
+    tc = _train_config(cfg)
+    reward_cfg = _build(RewardConfig, cfg["rl"]["reward"], "rl.reward")
+    ppo_cfg = _build(PpoConfig, cfg["rl"]["ppo"], "rl.ppo")
     path = os.path.join(cfg["paths"]["checkpoints"], "coldstart.upck")
     _require(path, "cold-start checkpoint")
     pois, weather, snapshots = _load_inputs(cfg)
@@ -215,17 +240,11 @@ def cmd_rl_finetune(cfg):
     _, rl_s, _ = split_dataset(snapshots, "target", t)
     ckpt = Checkpoint.load(path)
     stats = ckpt.norm_stats
-    windows = _windows_for(rl_s, pois, weather, stats, cfg,
+    windows = _windows_for(rl_s, pois, weather, stats, cfg, tc.target_mode,
                            stride=max(1, t // 4))
     model = ckpt.build_model()
-    reward_cfg = RewardConfig.from_dict({**RewardConfig().to_dict(),
-                                         **cfg["rl"]["reward"]})
-    ppo_cfg = PpoConfig.from_dict({**PpoConfig().to_dict(),
-                                   **cfg["rl"]["ppo"]})
-    os.makedirs(cfg["paths"]["reports"], exist_ok=True)
     policy, _, env, rewards = train_rl(model, windows, stats, reward_cfg,
-                                       ppo_cfg, cfg["rl"]["episodes"],
-                                       seed=cfg["seed"])
+                                       ppo_cfg, episodes, seed=cfg["seed"])
     smoothed = smooth_rewards(rewards, 100)
     _write_csv(os.path.join(cfg["paths"]["reports"], "rl_rewards.csv"),
                ["episode", "raw_reward", "smoothed_reward"],
@@ -236,12 +255,14 @@ def cmd_rl_finetune(cfg):
     env.run_episode(policy, rng, deterministic=True)
     adapted = Checkpoint.from_model(model, stats, ckpt.best_val_loss,
                                     ckpt.epoch)
-    adapted.save(os.path.join(cfg["paths"]["checkpoints"], "rl.upck"))
+    adapted.save(_writable(os.path.join(cfg["paths"]["checkpoints"],
+                                        "rl.upck")))
     print(f"rl-finetune: {len(rewards)} episodes, "
-          f"final smoothed reward {smooth_rewards(rewards, 100)[-1]:.4f}")
+          f"final smoothed reward {smoothed[-1]:.4f}")
 
 
 def cmd_evaluate(cfg):
+    tc = _train_config(cfg)
     name = cfg.get("eval_checkpoint", "pretrain.upck")
     path = name if os.path.sep in name else os.path.join(
         cfg["paths"]["checkpoints"], name)
@@ -253,10 +274,9 @@ def cmd_evaluate(cfg):
     eval_s = splits[2]
     ckpt = Checkpoint.load(path)
     stats = ckpt.norm_stats
-    windows = _windows_for(eval_s, pois, weather, stats, cfg)
+    windows = _windows_for(eval_s, pois, weather, stats, cfg, tc.target_mode)
     model = ckpt.build_model()
     report = evaluate(model, windows, stats)
-    os.makedirs(cfg["paths"]["reports"], exist_ok=True)
     _write_csv(os.path.join(cfg["paths"]["reports"], "eval_outcomes.csv"),
                ["t", "correct", "over", "under"],
                [(t_, c, o, u) for t_, (c, o, u)

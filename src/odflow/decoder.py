@@ -21,30 +21,14 @@ class DecoderConfig:
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
 
-    def to_dict(self):
-        return {"layers": self.layers, "heads": self.heads,
-                "model_dim": self.model_dim, "ffn_dim": self.ffn_dim,
-                "dropout": self.dropout}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
-@dataclass
-class FlowPrediction:
-    """Nonnegative flows per (t, b, edge slot), normalized units."""
-    flows: np.ndarray  # (T, B, M)
-
 
 class Decoder:
     def __init__(self, config, rng=None, params=None):
+        """Weights are read from `params` (a new dict when None); given
+        `rng`, fresh initial values are first drawn into it."""
         self.config = config
-        self.params = {}
-        if params is not None:
-            self.params = params
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
+        self.params = {} if params is None else params
+        if rng is not None:
             self._init_params(rng)
 
     def _init_params(self, rng):

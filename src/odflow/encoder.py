@@ -34,17 +34,6 @@ class EncoderConfig:
     def input_dim(self):
         return self.poi_embed_dim + N_CONTINUOUS
 
-    def to_dict(self):
-        return {"n_types": self.n_types, "poi_embed_dim": self.poi_embed_dim,
-                "temporal_channels": list(self.temporal_channels),
-                "kernel_size": self.kernel_size,
-                "gcn_widths": list(self.gcn_widths),
-                "edge_dim": self.edge_dim, "dropout": self.dropout}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def positional_encoding(t_steps, dim):
     """Standard sine/cosine interleave over the feature axis, one column per t."""
@@ -60,12 +49,11 @@ def positional_encoding(t_steps, dim):
 
 class Encoder:
     def __init__(self, config, rng=None, params=None):
+        """Weights are read from `params` (a new dict when None); given
+        `rng`, fresh initial values are first drawn into it."""
         self.config = config
-        self.params = {}
-        if params is not None:
-            self.params = params
-        else:
-            rng = rng if rng is not None else np.random.default_rng(0)
+        self.params = {} if params is None else params
+        if rng is not None:
             self._init_params(rng)
 
     def _init_params(self, rng):

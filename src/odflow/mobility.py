@@ -93,41 +93,45 @@ def read_gps_csv(path):
     return points, bad
 
 
+def _parse_rows(path, parse):
+    """`parse(row)` for every data row of a CSV file.  A missing column, a
+    short row or an unparsable value raises ValueError naming the file and
+    the row; data rows count from 1."""
+    out = []
+    with open(path, newline="") as f:
+        for n, row in enumerate(csv.DictReader(f), start=1):
+            if None in row.values():
+                raise ValueError(f"{path}: row {n}: too few fields")
+            try:
+                out.append(parse(row))
+            except KeyError as e:
+                raise ValueError(f"{path}: row {n}: missing column {e}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}: row {n}: {e}") from None
+    return out
+
+
 def read_poi_csv(path):
     """Read POIs; string types are mapped to dense indices in first-seen order.
 
     Returns (pois, type_names).
     """
-    pois = []
-    type_names = []
     type_map = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            t = row["type"]
-            if t not in type_map:
-                type_map[t] = len(type_names)
-                type_names.append(t)
-            pois.append(Poi(int(row["poi_id"]), float(row["lat"]),
-                            float(row["lon"]), type_map[t]))
+    pois = _parse_rows(path, lambda row: Poi(
+        int(row["poi_id"]), float(row["lat"]), float(row["lon"]),
+        type_map.setdefault(row["type"], len(type_map))))
     pois.sort(key=lambda p: p.poi_id)
     ids = [p.poi_id for p in pois]
     if ids != list(range(len(pois))):
         raise ValueError("poi_id must be dense 0..N-1")
-    return pois, type_names
+    return pois, list(type_map)
 
 
 def read_weather_csv(path):
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            records.append(WeatherRecord(int(row["interval_index"]),
-                                         float(row["temperature"]),
-                                         float(row["precipitation"]),
-                                         float(row["wind_east"]),
-                                         float(row["wind_north"])))
-    return records
+    return _parse_rows(path, lambda row: WeatherRecord(
+        int(row["interval_index"]), float(row["temperature"]),
+        float(row["precipitation"]), float(row["wind_east"]),
+        float(row["wind_north"])))
 
 
 # -- trace cleaning --------------------------------------------------------

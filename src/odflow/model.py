@@ -1,6 +1,7 @@
 """Full forecasting model: encoder -> decoder -> per-slot flows, plus the
 versioned on-disk checkpoint format."""
 
+import dataclasses
 import json
 import struct
 
@@ -18,21 +19,14 @@ CHECKPOINT_VERSION = 1
 class Model:
     def __init__(self, encoder_config=None, decoder_config=None, seed=0,
                  params=None):
+        """Encoder and decoder share one parameter dict: `params` when
+        given, else one drawn from `seed`, encoder first."""
         self.encoder_config = encoder_config or EncoderConfig()
         self.decoder_config = decoder_config or DecoderConfig()
-        if params is not None:
-            self.encoder = Encoder(self.encoder_config, params=params)
-            self.decoder = Decoder(self.decoder_config, params=params)
-            self.params = params
-        else:
-            rng = np.random.default_rng(seed)
-            self.encoder = Encoder(self.encoder_config, rng=rng)
-            self.decoder = Decoder(self.decoder_config, rng=rng)
-            self.params = {}
-            self.params.update(self.encoder.params)
-            self.params.update(self.decoder.params)
-            self.encoder.params = self.params
-            self.decoder.params = self.params
+        rng = None if params is not None else np.random.default_rng(seed)
+        self.params = {} if params is None else params
+        self.encoder = Encoder(self.encoder_config, rng, self.params)
+        self.decoder = Decoder(self.decoder_config, rng, self.params)
 
     def forward(self, batch, training=False, rng=None):
         """WindowedBatch -> (pred Tensor (B, T, M), node embeddings, tokens, mask)."""
@@ -46,9 +40,6 @@ class Model:
         """Evaluation-mode normalized flow predictions as a plain array."""
         pred, _, _, _ = self.forward(batch, training=False)
         return pred.data
-
-    def parameters(self):
-        return [self.params[k] for k in sorted(self.params)]
 
     def trainable_parameters(self):
         return [self.params[k] for k in sorted(self.params)
@@ -93,8 +84,8 @@ class Checkpoint:
 
     def save(self, path):
         meta = {"norm_stats": self.norm_stats.to_dict() if self.norm_stats else None,
-                "encoder_config": self.encoder_config.to_dict(),
-                "decoder_config": self.decoder_config.to_dict(),
+                "encoder_config": dataclasses.asdict(self.encoder_config),
+                "decoder_config": dataclasses.asdict(self.decoder_config),
                 "best_val_loss": self.best_val_loss,
                 "epoch": self.epoch}
         blob = json.dumps(meta, sort_keys=True).encode()
@@ -136,6 +127,6 @@ class Checkpoint:
                 params[key] = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape).copy()
         stats = NormStats.from_dict(meta["norm_stats"]) if meta["norm_stats"] else None
         return cls(params, stats,
-                   EncoderConfig.from_dict(meta["encoder_config"]),
-                   DecoderConfig.from_dict(meta["decoder_config"]),
+                   EncoderConfig(**meta["encoder_config"]),
+                   DecoderConfig(**meta["decoder_config"]),
                    meta["best_val_loss"], meta["epoch"])

@@ -5,7 +5,6 @@ and node representations, emits a 33-dim block-scaling action on the output
 head, and receives a sparse flow-weighted reward at episode end.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mobility import collate
+from .training import Adam
 
 STATE_DIM = 1560
 TEMPORAL_BLOCK = 1024   # 4 stats x 256 edge dims
@@ -26,13 +26,6 @@ ACTION_CLAMP = 2.0
 class RewardConfig:
     delta: float = 1.0
     lam: float = 0.5
-
-    def to_dict(self):
-        return {"delta": self.delta, "lam": self.lam}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -48,19 +41,6 @@ class PpoConfig:
     episodes_per_update: int = 8
     hidden_dim: int = 64
     n_blocks: int = 32  # 32 blocks of 8 weights; 8 and 16 also supported
-
-    def to_dict(self):
-        return {"clip_eps": self.clip_eps, "value_coeff": self.value_coeff,
-                "entropy_coeff": self.entropy_coeff, "gamma": self.gamma,
-                "gae_lambda": self.gae_lambda, "step_size": self.step_size,
-                "episode_len": self.episode_len,
-                "update_epochs": self.update_epochs,
-                "episodes_per_update": self.episodes_per_update,
-                "hidden_dim": self.hidden_dim, "n_blocks": self.n_blocks}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def grouping_matrix(n_weights=256, n_blocks=32):
@@ -410,40 +390,25 @@ def clipped_surrogate(ratio, advantages, eps):
     return ratio * Tensor(coeff) + Tensor(const)
 
 
-def train_rl(model, windows, stats, reward_cfg, ppo_cfg, n_episodes,
-             seed=0, reward_log_path=None, progress=None):
+def train_rl(model, windows, stats, reward_cfg, ppo_cfg, n_episodes, seed=0):
     """Full Stage 3 loop; returns (policy, value_net, env, raw reward list)."""
     rng = np.random.default_rng(seed)
     policy = GaussianPolicy(action_dim=ppo_cfg.n_blocks + 1,
                             hidden_dim=ppo_cfg.hidden_dim, seed=seed)
     value_net = ValueNet(hidden_dim=ppo_cfg.hidden_dim, seed=seed + 1)
-    policy_opt = _make_opt(policy.parameters(), ppo_cfg.step_size)
-    value_opt = _make_opt(value_net.parameters(), ppo_cfg.step_size)
+    policy_opt = Adam(policy.parameters(), lr=ppo_cfg.step_size)
+    value_opt = Adam(value_net.parameters(), lr=ppo_cfg.step_size)
     env = HeadAdaptEnv(model, windows, stats, reward_cfg,
                        episode_len=ppo_cfg.episode_len,
                        n_blocks=ppo_cfg.n_blocks)
     raw_rewards = []
     buffer = []
-    for ep in range(n_episodes):
+    for _ in range(n_episodes):
         tr = env.run_episode(policy, rng)
         raw_rewards.append(tr["episode_reward"])
         buffer.append(tr)
         if len(buffer) >= ppo_cfg.episodes_per_update:
             ppo_update(policy, value_net, buffer, ppo_cfg, policy_opt, value_opt)
             buffer = []
-        if progress is not None and (ep + 1) % 100 == 0:
-            progress(ep + 1, raw_rewards)
     env.standardizer.frozen = True
-    if reward_log_path:
-        smoothed = smooth_rewards(raw_rewards, 100)
-        with open(reward_log_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["episode", "raw_reward", "smoothed_reward"])
-            for i, (r, s) in enumerate(zip(raw_rewards, smoothed)):
-                w.writerow([i, f"{r:.6f}", f"{s:.6f}"])
     return policy, value_net, env, raw_rewards
-
-
-def _make_opt(params, lr):
-    from .training import Adam
-    return Adam(params, lr=lr)

@@ -24,17 +24,6 @@ class TrainConfig:
     seed: int = 0
     target_mode: str = "final_step"
 
-    def to_dict(self):
-        return {"learning_rate": self.learning_rate,
-                "weight_decay": self.weight_decay, "l2_coeff": self.l2_coeff,
-                "grad_clip_norm": self.grad_clip_norm, "epochs": self.epochs,
-                "batch_size": self.batch_size, "seed": self.seed,
-                "target_mode": self.target_mode}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class FreezeSpec:
@@ -70,14 +59,6 @@ class FreezeSpec:
         if (self.tconv_below > n_tconv or self.gcn_below > n_gcn
                 or self.decoder_below > n_dec):
             raise ValueError("freeze spec references absent layers")
-
-    def to_dict(self):
-        return {"tconv_below": self.tconv_below, "gcn_below": self.gcn_below,
-                "decoder_below": self.decoder_below}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 class Adam:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -150,3 +151,67 @@ def test_load_config_merge_and_overrides(tmp_path):
     cfg2 = load_config(cfgp, seed=99, out_dir="/elsewhere")
     assert cfg2["seed"] == 99
     assert cfg2["paths"]["traces"] == "/elsewhere/traces.csv"
+
+
+@pytest.mark.parametrize("cmd, section", [
+    ("synth", "city.synth"),
+    ("pretrain", "model.encoder"),
+    ("pretrain", "model.decoder"),
+    ("pretrain", "train.config"),
+    ("coldstart", "train.freeze"),
+    ("rl-finetune", "rl.reward"),
+    ("rl-finetune", "rl.ppo"),
+])
+def test_unknown_section_key_is_an_error_line(pipeline_dir, tmp_path, capsys,
+                                              cmd, section):
+    d = str(tmp_path / "run")
+    shutil.copytree(pipeline_dir, d)
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    outer, inner = section.split(".")
+    cfg.setdefault(outer, {}).setdefault(inner, {})["bogus_key"] = 1
+    cfg["paths"] = {"source_checkpoint":
+                    os.path.join(d, "checkpoints", "pretrain.upck")}
+    cfgp = os.path.join(d, "config.json")
+    with open(cfgp, "w") as f:
+        json.dump(cfg, f)
+    capsys.readouterr()
+    assert run(cmd, cfgp, d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert section in err and "bogus_key" in err
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_rl_finetune_without_episodes_is_an_error_line(tmp_path, capsys,
+                                                       episodes):
+    # no inputs exist: the episode count is checked before any is loaded
+    cfgp = write_config(str(tmp_path), {"rl": {"episodes": episodes}})
+    assert run("rl-finetune", cfgp, str(tmp_path)) == 1
+    assert "error: rl.episodes" in capsys.readouterr().err
+
+
+def test_synth_creates_its_output_directory(tmp_path):
+    out = str(tmp_path / "fresh" / "nested")
+    assert run("synth", write_config(str(tmp_path)), out) == 0
+    assert os.path.exists(os.path.join(out, "pois.csv"))
+
+
+def test_bad_poi_csv_is_an_error_line(tmp_path, capsys):
+    cfgp = write_config(str(tmp_path))
+    (tmp_path / "traces.csv").write_text(
+        "user_id,timestamp,lat,lon\nu1,0,37.0,-120.0\n")
+    (tmp_path / "pois.csv").write_text("poi_id,lat,type\n0,37.0,a\n")
+    assert run("ingest", cfgp, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "pois.csv: row 1: missing column 'lon'" in err
+
+
+@pytest.mark.parametrize("cmd", ["pretrain", "coldstart", "rl-finetune",
+                                 "evaluate"])
+def test_train_config_is_checked_before_inputs(tmp_path, capsys, cmd):
+    # no inputs exist: every stage that reads train.config builds it first
+    cfgp = write_config(str(tmp_path), {"train": {"config": {"epochz": 1}}})
+    assert run(cmd, cfgp, str(tmp_path)) == 1
+    assert ("error: unknown key(s) in train.config: epochz"
+            in capsys.readouterr().err)

@@ -312,6 +312,30 @@ def test_read_poi_csv_rejects_sparse_ids(tmp_path):
         read_poi_csv(p)
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    (read_poi_csv, "poi_id,lat,type\n0,37.0,a\n",
+     "row 1: missing column 'lon'"),
+    (read_poi_csv, "poi_id,lat,lon,type\n0,37.0,-120.0,a\n1,north,-120.0,a\n",
+     "row 2: could not convert string to float: 'north'"),
+    (read_poi_csv, "poi_id,lat,lon,type\n0,37.0,-120.0,a\n1,37.1,-120.0\n",
+     "row 2: too few fields"),
+    (mobility.read_weather_csv,
+     "interval_index,temperature,precipitation,wind_east\n0,20.0,0.0,1.0\n",
+     "row 1: missing column 'wind_north'"),
+    (mobility.read_weather_csv,
+     "interval_index,temperature,precipitation,wind_east,wind_north\n"
+     "0,20.0,0.0,1.0,0.5\n1,warm,0.0,1.0,0.5\n",
+     "row 2: could not convert string to float: 'warm'"),
+], ids=["poi-missing-column", "poi-bad-number", "poi-short-row",
+        "weather-missing-column", "weather-bad-number"])
+def test_csv_readers_name_file_and_row(tmp_path, reader, text, message):
+    p = tmp_path / "input.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as e:
+        reader(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
 def test_norm_stats_roundtrip(small_snapshots):
     _, stats = small_snapshots
     back = mobility.NormStats.from_dict(stats.to_dict())

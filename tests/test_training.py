@@ -1,6 +1,10 @@
 """Training-stage tests: splits, optimizer, freezing, checkpoints,
 evaluation counting, and determinism."""
 
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -183,6 +187,32 @@ def test_coldstart_zero_epochs_keeps_params():
 # -- checkpoint format -----------------------------------------------------
 
 
+def old_format_bytes(ck):
+    """A checkpoint file written by hand, with the config meta listed field
+    by field as it was before the configs were saved with `asdict`."""
+    enc, dec = ck.encoder_config, ck.decoder_config
+    meta = {"norm_stats": ck.norm_stats.to_dict(),
+            "encoder_config": {"n_types": enc.n_types,
+                               "poi_embed_dim": enc.poi_embed_dim,
+                               "temporal_channels": list(enc.temporal_channels),
+                               "kernel_size": enc.kernel_size,
+                               "gcn_widths": list(enc.gcn_widths),
+                               "edge_dim": enc.edge_dim, "dropout": enc.dropout},
+            "decoder_config": {"layers": dec.layers, "heads": dec.heads,
+                               "model_dim": dec.model_dim,
+                               "ffn_dim": dec.ffn_dim, "dropout": dec.dropout},
+            "best_val_loss": ck.best_val_loss, "epoch": ck.epoch}
+    blob = json.dumps(meta, sort_keys=True).encode()
+    out = [b"UPCK", struct.pack("<II", 1, len(blob)), blob,
+           struct.pack("<I", len(ck.params))]
+    for key in sorted(ck.params):
+        arr = ck.params[key]
+        out += [struct.pack("<I", len(key)), key.encode(),
+                struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape),
+                arr.astype("<f8").tobytes()]
+    return b"".join(out)
+
+
 def test_checkpoint_roundtrip_byte_identical(tmp_path):
     m = small_model()
     stats = toy_stats()
@@ -199,6 +229,13 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
         assert np.array_equal(back.params[k], ck.params[k])
     back.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes() == old_format_bytes(ck)
+    # tuple-valued channel lists are saved exactly as lists are
+    enc = dataclasses.replace(m.encoder_config, temporal_channels=(4, 8),
+                              gcn_widths=(16,))
+    ck_t = Checkpoint(ck.params, stats, enc, m.decoder_config, 0.123, 4)
+    ck_t.save(p2)
+    assert p2.read_bytes() == old_format_bytes(ck_t) == p1.read_bytes()
 
 
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
