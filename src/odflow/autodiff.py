@@ -89,32 +89,28 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
 
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accum(self, g, owned=False):
+        """Add `g` into `.grad`.  The first `g` is stored as 0.0 + g, in g's
+        own buffer if no one else holds it (`owned`) and it is laid out as
+        `.data` is."""
+        if self.grad is not None:
+            self.grad += g
+            return
+        own = (owned and g.flags.writeable and g.shape == self.data.shape
+               and g.strides == self.data.strides)
+        self.grad = np.add(g, 0.0, out=g if own else np.empty_like(self.data))
 
     # -- elementwise arithmetic --------------------------------------------
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out_data = self.data + other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), bw)
+        return _binary(self, other, self.data + other.data,
+                       lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def bw(g):
-            self._accum(-g)
-
-        return Tensor._make(-self.data, (self,), bw)
+        return _unary(self, -self.data, lambda g: -g)
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -124,86 +120,48 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out_data = self.data * other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), bw)
+        return _binary(self, other, self.data * other.data,
+                       lambda g: g * other.data, lambda g: g * self.data)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_tensor(other)
-        out_data = self.data / other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / other.data ** 2,
-                                          other.data.shape))
-
-        return Tensor._make(out_data, (self, other), bw)
+        return _binary(self, other, self.data / other.data,
+                       lambda g: g / other.data,
+                       lambda g: -g * self.data / other.data ** 2)
 
     def __rtruediv__(self, other):
         return _as_tensor(other) / self
 
     def __pow__(self, p):
         assert isinstance(p, (int, float))
-        out_data = self.data ** p
-
-        def bw(g):
-            self._accum(g * p * self.data ** (p - 1))
-
-        return Tensor._make(out_data, (self,), bw)
+        return _unary(self, self.data ** p,
+                      lambda g: g * p * self.data ** (p - 1))
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def bw(g):
-            self._accum(g * out_data)
-
-        return Tensor._make(out_data, (self,), bw)
+        return _unary(self, out_data, lambda g: g * out_data)
 
     def log(self):
-        def bw(g):
-            self._accum(g / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), bw)
+        return _unary(self, np.log(self.data), lambda g: g / self.data)
 
     def abs(self):
-        def bw(g):
-            self._accum(g * np.sign(self.data))
-
-        return Tensor._make(np.abs(self.data), (self,), bw)
+        return _unary(self, np.abs(self.data),
+                      lambda g: g * np.sign(self.data))
 
     def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def bw(g):
-            self._accum(g * (self.data > 0.0))
-
-        return Tensor._make(out_data, (self,), bw)
+        return _unary(self, np.maximum(self.data, 0.0),
+                      lambda g: g * (self.data > 0.0))
 
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500)))
-
-        def bw(g):
-            self._accum(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), bw)
+        return _unary(self, out_data,
+                      lambda g: g * out_data * (1.0 - out_data))
 
     def tanh(self):
         out_data = np.tanh(self.data)
-
-        def bw(g):
-            self._accum(g * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), bw)
+        return _unary(self, out_data, lambda g: g * (1.0 - out_data ** 2))
 
     # -- shape manipulation ------------------------------------------------
 
@@ -234,7 +192,7 @@ class Tensor:
         def bw(g):
             full = np.zeros_like(self.data)
             np.add.at(full, idx, g)
-            self._accum(full)
+            self._accum(full, owned=True)
 
         return Tensor._make(out_data, (self,), bw)
 
@@ -244,12 +202,9 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bw(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape))
 
         return Tensor._make(out_data, (self,), bw)
 
@@ -288,19 +243,31 @@ class Tensor:
 
     def matmul(self, other):
         other = _as_tensor(other)
-        out_data = self.data @ other.data
-
-        def bw(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accum(_unbroadcast(ga, self.data.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accum(_unbroadcast(gb, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), bw)
+        return _binary(self, other, self.data @ other.data,
+                       lambda g: g @ np.swapaxes(other.data, -1, -2),
+                       lambda g: np.swapaxes(self.data, -1, -2) @ g)
 
     __matmul__ = matmul
+
+
+def _unary(x, out_data, dx):
+    """Result of a one-operand primitive; `dx(g)` gives x's gradient as a
+    new array."""
+    return Tensor._make(out_data, (x,), lambda g: x._accum(dx(g), owned=True))
+
+
+def _binary(a, b, out_data, da, db):
+    """Result of a two-operand primitive; `da(g)`/`db(g)` give each operand's
+    gradient before un-broadcasting, and run only for an operand that
+    requires one."""
+
+    def bw(g):
+        for t, dt in ((a, da), (b, db)):
+            if t.requires_grad:
+                gt = dt(g)
+                t._accum(_unbroadcast(gt, t.data.shape), owned=gt is not g)
+
+    return Tensor._make(out_data, (a, b), bw)
 
 
 def _as_tensor(x):
@@ -341,32 +308,13 @@ def concat(tensors, axis=0):
     return Tensor._make(out_data, tuple(tensors), bw)
 
 
-def stack(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), bw)
-
-
 def embedding(table, indices):
     """Row lookup into `table` (V x D) by an integer index array."""
     table = _as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError("embedding index out of range")
-    out_data = table.data[idx]
-
-    def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        table._accum(full)
-
-    return Tensor._make(out_data, (table,), bw)
+    return table[idx]
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -424,14 +372,17 @@ def attention_softmax(scores, mask):
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
     if not mask.any(axis=-1).all():
         raise ValueError("attention row with zero valid keys")
-    neg = np.where(mask, scores.data, -np.inf)
-    shifted = neg - neg.max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(shifted), 0.0)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    # in place: each row's max is finite, so exp sends masked -inf to 0
+    out_data = np.where(mask, scores.data, -np.inf)
+    out_data -= out_data.max(axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        scores._accum(out_data * (g - dot))
+        gs = g * out_data
+        np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
+        gs *= out_data
+        scores._accum(gs, owned=True)
 
     return Tensor._make(out_data, (scores,), bw)
 

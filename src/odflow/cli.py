@@ -49,6 +49,7 @@ DEFAULT_CONFIG = {
     "train": {"window": 12, "stride": 1, "split_scheme": "source",
               "freeze": {}, "config": {}},
     "rl": {"reward": {}, "ppo": {}, "episodes": 200},
+    "eval_checkpoint": "pretrain.upck",
 }
 
 
@@ -60,7 +61,8 @@ def load_config(path, seed=None, out_dir=None):
     with open(path) as f:
         user = json.load(f)
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    _deep_update(cfg, user)
+    _check_type(user, dict, "the config")
+    _merge(cfg, user)
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
@@ -72,22 +74,40 @@ def load_config(path, seed=None, out_dir=None):
     return cfg
 
 
-def _deep_update(base, extra):
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
+def _check_type(value, want, name):
+    """CliError naming `name` unless `value` is a `want`; an int is also a
+    float, and a bool is never a number."""
+    ok = isinstance(value, (int, float) if want is float else want)
+    if not ok or (isinstance(value, bool) and want is not bool):
+        raise CliError(f"{name} must be of type {want.__name__}, "
+                       f"not {type(value).__name__} ({value!r})")
+
+
+def _merge(base, extra, prefix=""):
+    """Merge `extra` into the defaults `base` in place.  A key `base` lacks,
+    or a value whose type differs from its default's, is a CliError naming
+    the dotted key; the keys of a section whose default is {} are left for
+    `_build` to check."""
+    for key, value in extra.items():
+        name = prefix + key
+        if key not in base:
+            raise CliError(f"unknown config key: {name}")
+        _check_type(value, type(base[key]), name)
+        if isinstance(value, dict) and base[key]:
+            _merge(base[key], value, name + ".")
         else:
-            base[k] = v
+            base[key] = value
 
 
 def _build(cls, d, section):
-    """Dataclass `cls` from config section `d`; keys that are not fields of
-    `cls` are a CliError naming the section."""
-    if not isinstance(d, dict):
-        raise CliError(f"{section} must be a JSON object")
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    """Dataclass `cls` from config section `d`; a key that is not a field of
+    `cls`, or a value that does not fit the field's type, is a CliError."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
     if unknown:
         raise CliError(f"unknown key(s) in {section}: {', '.join(unknown)}")
+    for key, value in d.items():
+        _check_type(value, fields[key], f"{section}.{key}")
     return cls(**d)
 
 
@@ -227,9 +247,8 @@ def cmd_coldstart(cfg):
 
 def cmd_rl_finetune(cfg):
     episodes = cfg["rl"]["episodes"]
-    if not isinstance(episodes, int) or episodes < 1:
-        raise CliError("rl.episodes must be a positive integer, "
-                       f"not {episodes!r}")
+    if episodes < 1:
+        raise CliError(f"rl.episodes must be positive, not {episodes}")
     tc = _train_config(cfg)
     reward_cfg = _build(RewardConfig, cfg["rl"]["reward"], "rl.reward")
     ppo_cfg = _build(PpoConfig, cfg["rl"]["ppo"], "rl.ppo")
@@ -263,7 +282,7 @@ def cmd_rl_finetune(cfg):
 
 def cmd_evaluate(cfg):
     tc = _train_config(cfg)
-    name = cfg.get("eval_checkpoint", "pretrain.upck")
+    name = cfg["eval_checkpoint"]
     path = name if os.path.sep in name else os.path.join(
         cfg["paths"]["checkpoints"], name)
     _require(path, "checkpoint")
@@ -289,43 +308,37 @@ def cmd_evaluate(cfg):
           f"accuracy {report.accuracy:.4f}")
 
 
+_REPORT_PLOTS = [
+    ("pretrain_epochs.csv", "loss_curves.svg", "epoch",
+     [("train", "train_loss", float), ("val", "val_loss", float)],
+     dict(title="Training and validation loss", x_label="epoch",
+          y_label="loss")),
+    ("eval_outcomes.csv", "outcome_counts.svg", "t",
+     [("correct", "correct", int), ("over", "over", int),
+      ("under", "under", int)],
+     dict(title="Edge outcome counts per step", x_label="interval",
+          y_label="edges", log_y=True)),
+    ("rl_rewards.csv", "reward_curves.svg", "episode",
+     [("raw", "raw_reward", float),
+      ("smoothed (w=100)", "smoothed_reward", float)],
+     dict(title="Adaptation reward", x_label="episode", y_label="reward")),
+]
+
+
 def cmd_report(cfg):
     rep = cfg["paths"]["reports"]
     made = []
-    epochs_csv = os.path.join(rep, "pretrain_epochs.csv")
-    if os.path.exists(epochs_csv):
-        rows = _read_csv(epochs_csv)
-        xs = [int(r["epoch"]) for r in rows]
+    for csv_name, svg_name, x_col, series, labels in _REPORT_PLOTS:
+        path = os.path.join(rep, csv_name)
+        if not os.path.exists(path):
+            continue
+        rows = _read_csv(path)
+        xs = [int(r[x_col]) for r in rows]
         svgplot.line_plot(
-            [("train", xs, [float(r["train_loss"]) for r in rows]),
-             ("val", xs, [float(r["val_loss"]) for r in rows])],
-            os.path.join(rep, "loss_curves.svg"),
-            title="Training and validation loss", x_label="epoch",
-            y_label="loss")
-        made.append("loss_curves.svg")
-    outcomes_csv = os.path.join(rep, "eval_outcomes.csv")
-    if os.path.exists(outcomes_csv):
-        rows = _read_csv(outcomes_csv)
-        xs = [int(r["t"]) for r in rows]
-        svgplot.line_plot(
-            [("correct", xs, [int(r["correct"]) for r in rows]),
-             ("over", xs, [int(r["over"]) for r in rows]),
-             ("under", xs, [int(r["under"]) for r in rows])],
-            os.path.join(rep, "outcome_counts.svg"),
-            title="Edge outcome counts per step", x_label="interval",
-            y_label="edges", log_y=True)
-        made.append("outcome_counts.svg")
-    rewards_csv = os.path.join(rep, "rl_rewards.csv")
-    if os.path.exists(rewards_csv):
-        rows = _read_csv(rewards_csv)
-        xs = [int(r["episode"]) for r in rows]
-        svgplot.line_plot(
-            [("raw", xs, [float(r["raw_reward"]) for r in rows]),
-             ("smoothed (w=100)", xs,
-              [float(r["smoothed_reward"]) for r in rows])],
-            os.path.join(rep, "reward_curves.svg"),
-            title="Adaptation reward", x_label="episode", y_label="reward")
-        made.append("reward_curves.svg")
+            [(label, xs, [cast(r[col]) for r in rows])
+             for label, col, cast in series],
+            os.path.join(rep, svg_name), **labels)
+        made.append(svg_name)
     if not made:
         raise CliError(f"missing input: no report CSVs under {rep}")
     print("report: " + ", ".join(made))

@@ -153,12 +153,16 @@ class Encoder:
         dg = self.config.edge_dim
         return e.reshape(b, t * m, dg), mask.reshape(b, t * m)
 
-    def forward(self, batch, training=False, rng=None):
-        """WindowedBatch -> (edge tokens, flat mask, node embeddings)."""
-        z0 = self.embed_features(batch.x)
+    def encode(self, z0, batch, training=False, rng=None):
+        """Embedded features `z0` of `batch` -> (edge tokens, flat mask,
+        node embeddings)."""
         z = self.temporal_encode(z0)
         h = self.temporal_conv_stack(z, training=training, rng=rng)
         node_emb = self.st_graph_conv(h, batch.adjacency)
         tokens, flat_mask = self.edge_tokens(node_emb, batch.candidate_edges,
                                              batch.mask)
         return tokens, flat_mask, node_emb
+
+    def forward(self, batch, training=False, rng=None):
+        """WindowedBatch -> (edge tokens, flat mask, node embeddings)."""
+        return self.encode(self.embed_features(batch.x), batch, training, rng)

@@ -280,6 +280,11 @@ class NormStats:
     flow_max: float
     precip_cap: float = PRECIP_CAP_MMH
 
+    @property
+    def flow_scale(self):
+        """Raw flow per normalized unit: flow_max, or 1.0 without flow."""
+        return self.flow_max if self.flow_max > 0 else 1.0
+
     def to_dict(self):
         return {"feature_min": list(map(float, self.feature_min)),
                 "feature_max": list(map(float, self.feature_max)),
@@ -396,28 +401,31 @@ class WindowedBatch:
     targets: np.ndarray         # (B, T, M) normalized flows
     raw_targets: np.ndarray     # (B, T, M) raw counts
     target_steps: list
-    starts: list
 
 
 def make_windows(snapshots, pois, weather, stats, t_window, stride=1,
                  target_mode="final_step"):
     """Sliding windows of T snapshots; candidate edges are the deduplicated,
-    sorted union of edges observed anywhere in the window."""
+    sorted union of edges observed anywhere in the window.  Each window's
+    `features` and `adjacency` are read-only views of one array per series."""
     if target_mode not in ("final_step", "all_steps"):
         raise ValueError(f"unknown target_mode {target_mode!r}")
     if len(snapshots) < t_window:
         raise ValueError("series shorter than the window length")
     feats = normalize(snapshots, pois, weather, stats)  # (T_all, N, 7)
     n = len(pois)
+    adj = np.empty((len(snapshots), n, n))
+    for k, s in enumerate(snapshots):
+        adj[k] = normalized_adjacency(s, n)
+    feats.flags.writeable = False
+    adj.flags.writeable = False
     windows = []
     for start in range(0, len(snapshots) - t_window + 1, stride):
         chunk = snapshots[start:start + t_window]
         cand = sorted({(i, j) for s in chunk for i, j, _ in s.edges})
         slot = {e: k for k, e in enumerate(cand)}
         flows = np.zeros((t_window, len(cand)))
-        adj = np.zeros((t_window, n, n))
         for t, s in enumerate(chunk):
-            adj[t] = normalized_adjacency(s, n)
             for i, j, w in s.edges:
                 flows[t, slot[(i, j)]] = w
         if target_mode == "final_step":
@@ -425,7 +433,7 @@ def make_windows(snapshots, pois, weather, stats, t_window, stride=1,
         else:
             steps = list(range(t_window))
         windows.append(Window(start, feats[start:start + t_window].transpose(1, 2, 0),
-                              adj, cand, flows, steps))
+                              adj[start:start + t_window], cand, flows, steps))
     return windows
 
 
@@ -434,19 +442,16 @@ def collate(windows, stats):
     if not windows:
         raise ValueError("empty batch")
     b = len(windows)
-    n, f, t = windows[0].features.shape
+    t = windows[0].features.shape[2]
     m = max(1, max(len(w.candidate_edges) for w in windows))
-    x = np.zeros((b, n, f, t))
-    adj = np.zeros((b, t, n, n))
     mask = np.zeros((b, t, m), dtype=bool)
     raw = np.zeros((b, t, m))
-    flow_scale = stats.flow_max if stats.flow_max > 0 else 1.0
     for k, w in enumerate(windows):
         e = len(w.candidate_edges)
-        x[k] = w.features
-        adj[k] = w.adjacency
         mask[k, :, :e] = True
         raw[k, :, :e] = w.flows
-    return WindowedBatch(x, adj, [w.candidate_edges for w in windows], mask,
-                         raw / flow_scale, raw,
-                         windows[0].target_steps, [w.start for w in windows])
+    # np.array, unlike np.stack, lays the transposed feature views out in C order
+    return WindowedBatch(np.array([w.features for w in windows]),
+                         np.stack([w.adjacency for w in windows]),
+                         [w.candidate_edges for w in windows], mask,
+                         raw / stats.flow_scale, raw, windows[0].target_steps)

@@ -238,7 +238,6 @@ class HeadAdaptEnv:
         self.g = grouping_matrix(n_blocks=n_blocks)
         self.w0 = model.params["decoder.head.w_out"].data.copy()
         self.b0 = model.params["decoder.head.b_out"].data.copy()
-        self.flow_scale = stats.flow_max if stats.flow_max > 0 else 1.0
         self._cursor = 0
         self._cache = {}
 
@@ -252,7 +251,7 @@ class HeadAdaptEnv:
         if idx not in self._cache:
             batch = collate([self.windows[idx]], self.stats)
             z0 = self.model.encoder.embed_features(batch.x)
-            tokens, flat_mask, _ = self.model.encoder.forward(batch)
+            tokens, flat_mask, _ = self.model.encoder.encode(z0, batch)
             t, m = batch.mask.shape[1], batch.mask.shape[2]
             z = self.model.decoder.decode(tokens, flat_mask)
             self._cache[idx] = (batch, z0.data[0], tokens.data, z.data, t, m)
@@ -271,7 +270,7 @@ class HeadAdaptEnv:
         preds, trues = [], []
         for step in batch.target_steps:
             valid = batch.mask[0, step, :]
-            preds.append(flows[0, step, :][valid] * self.flow_scale)
+            preds.append(flows[0, step, :][valid] * self.stats.flow_scale)
             trues.append(batch.raw_targets[0, step, :][valid])
         return np.concatenate(preds), np.concatenate(trues)
 

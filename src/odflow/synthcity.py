@@ -156,29 +156,27 @@ def generate_weather(config):
 # -- CSV emission (the exact formats the ingestion stage consumes) ----------
 
 
-def write_gps_csv(points, path):
+def _write_rows(path, header, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["user_id", "timestamp", "lat", "lon"])
-        for p in points:
-            w.writerow([p.user_id, f"{p.timestamp:.0f}", f"{p.lat:.7f}", f"{p.lon:.7f}"])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_gps_csv(points, path):
+    _write_rows(path, ["user_id", "timestamp", "lat", "lon"],
+                ([p.user_id, f"{p.timestamp:.0f}", f"{p.lat:.7f}", f"{p.lon:.7f}"]
+                 for p in points))
 
 
 def write_poi_csv(pois, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["poi_id", "lat", "lon", "type"])
-        for p in pois:
-            w.writerow([p.poi_id, f"{p.lat:.7f}", f"{p.lon:.7f}",
-                        POI_TYPES[p.type_index]])
+    _write_rows(path, ["poi_id", "lat", "lon", "type"],
+                ([p.poi_id, f"{p.lat:.7f}", f"{p.lon:.7f}", POI_TYPES[p.type_index]]
+                 for p in pois))
 
 
 def write_weather_csv(records, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["interval_index", "temperature", "precipitation",
-                    "wind_east", "wind_north"])
-        for r in records:
-            w.writerow([r.interval_index, f"{r.temperature:.4f}",
-                        f"{r.precipitation:.4f}", f"{r.wind_east:.4f}",
-                        f"{r.wind_north:.4f}"])
+    _write_rows(path, ["interval_index", "temperature", "precipitation",
+                       "wind_east", "wind_north"],
+                ([r.interval_index, f"{r.temperature:.4f}", f"{r.precipitation:.4f}",
+                  f"{r.wind_east:.4f}", f"{r.wind_north:.4f}"] for r in records))

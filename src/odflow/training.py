@@ -25,6 +25,17 @@ class TrainConfig:
     target_mode: str = "final_step"
 
 
+def _layer_of(key):
+    """("tconv" | "gcn" | "decoder", layer index) of a parameter name, or
+    None for a parameter outside those numbered layers."""
+    parts = key.split(".")
+    if parts[0] == "encoder" and parts[1] in ("tconv", "gcn"):
+        return parts[1], int(parts[2])
+    if parts[0] == "decoder" and parts[1].isdigit():
+        return "decoder", int(parts[1])
+    return None
+
+
 @dataclass
 class FreezeSpec:
     """Layer indices below each bound are frozen; the output head and
@@ -34,31 +45,15 @@ class FreezeSpec:
     decoder_below: int = 1
 
     def frozen_keys(self, params):
-        frozen = set()
-        for key in params:
-            parts = key.split(".")
-            if parts[0] == "encoder" and parts[1] == "tconv":
-                if int(parts[2]) < self.tconv_below:
-                    frozen.add(key)
-            elif parts[0] == "encoder" and parts[1] == "gcn":
-                if int(parts[2]) < self.gcn_below:
-                    frozen.add(key)
-            elif parts[0] == "decoder" and parts[1].isdigit():
-                if int(parts[1]) < self.decoder_below:
-                    frozen.add(key)
-        return frozen
+        return {key for key in params if (layer := _layer_of(key))
+                and layer[1] < getattr(self, f"{layer[0]}_below")}
 
     def validate(self, params):
-        n_tconv = 1 + max((int(k.split(".")[2]) for k in params
-                           if k.startswith("encoder.tconv.")), default=-1)
-        n_gcn = 1 + max((int(k.split(".")[2]) for k in params
-                         if k.startswith("encoder.gcn.")), default=-1)
-        n_dec = 1 + max((int(k.split(".")[1]) for k in params
-                         if k.startswith("decoder.") and k.split(".")[1].isdigit()),
-                        default=-1)
-        if (self.tconv_below > n_tconv or self.gcn_below > n_gcn
-                or self.decoder_below > n_dec):
-            raise ValueError("freeze spec references absent layers")
+        layers = [layer for layer in map(_layer_of, params) if layer]
+        for group in ("tconv", "gcn", "decoder"):
+            present = 1 + max((i for g, i in layers if g == group), default=-1)
+            if getattr(self, f"{group}_below") > present:
+                raise ValueError("freeze spec references absent layers")
 
 
 class Adam:
@@ -254,7 +249,6 @@ def evaluate(model, windows, stats, batch_size=8):
     zero, against the true integer flow; `t` is the absolute interval index
     of the scored step.
     """
-    flow_scale = stats.flow_max if stats.flow_max > 0 else 1.0
     sq = 0.0
     ab = 0.0
     n = 0
@@ -269,7 +263,7 @@ def evaluate(model, windows, stats, batch_size=8):
             sq += float((err ** 2).sum())
             ab += float(np.abs(err).sum())
             n += int(m.sum())
-            rounded = round_half_away(pred[:, t, :] * flow_scale)
+            rounded = round_half_away(pred[:, t, :] * stats.flow_scale)
             truth = batch.raw_targets[:, t, :]
             for b, w in enumerate(chunk):
                 abs_t = w.start + t

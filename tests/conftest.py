@@ -17,6 +17,11 @@ def criterion():
     return record
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a full-size run; deselect with -m 'not slow'")
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

@@ -322,6 +322,7 @@ def test_criterion_6_permutation(criterion):
 # -- criterion 7: desk-scale learning --------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_learning(criterion, default_city_run):
     r = default_city_run
     reduction = 1.0 - r["best_val"] / r["untrained_val"]

@@ -94,8 +94,6 @@ def test_concat_stack_grads():
     a = rand((2, 3), 6)
     b = rand((2, 5), 7)
     check(lambda: (ad.concat([a, b], axis=1) ** 2).sum(), [a, b])
-    c = rand((2, 3), 8)
-    check(lambda: (ad.stack([a, c], axis=0) ** 2).sum(), [a, c])
 
 
 def test_embedding_grad_accumulates_repeats():
@@ -197,6 +195,26 @@ def test_attention_softmax_masked_grads():
                    ).sum(), [s])
 
 
+def test_attention_softmax_matches_reference_bits():
+    r = np.random.default_rng(22)
+    scores = r.normal(size=(2, 3, 5, 5))
+    mask = r.random((2, 1, 1, 5)) < 0.6
+    mask[..., 0] = True
+    g = r.normal(size=scores.shape)
+    s = Tensor(scores, requires_grad=True)
+    out = ad.attention_softmax(s, mask)
+    (out * Tensor(g)).sum().backward()
+    m = np.broadcast_to(mask, scores.shape)
+    neg = np.where(m, scores, -np.inf)
+    e = np.where(m, np.exp(neg - neg.max(axis=-1, keepdims=True)), 0.0)
+    ref = e / e.sum(axis=-1, keepdims=True)
+    ref_grad = np.zeros_like(scores)
+    ref_grad += ref * (g - (g * ref).sum(axis=-1, keepdims=True))
+    for got, want in ((out.data, ref), (s.grad, ref_grad)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_attention_softmax_empty_row_raises():
     with pytest.raises(ValueError):
         ad.attention_softmax(Tensor(np.zeros((1, 2))),
@@ -214,6 +232,22 @@ def test_dropout_modes():
 
 
 # -- infrastructure --------------------------------------------------------
+
+
+def test_first_gradient_is_zero_plus_g_and_never_shared():
+    # a -0.0 gradient is stored as 0.0 + -0.0 = +0.0
+    x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+    (x * Tensor(np.array([-0.0, 2.0]))).sum().backward()
+    assert np.array_equal(np.signbit(x.grad), [False, False])
+    assert np.array_equal(x.grad, [0.0, 2.0])
+    # add hands one upstream gradient to both operands: neither may keep it
+    a, b = rand((3,), 1), rand((3,), 2)
+    y = a + b
+    (y * 2.0 + a.exp()).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, y.grad)
+    assert np.array_equal(b.grad, np.full(3, 2.0))
+    assert np.allclose(a.grad, 2.0 + np.exp(a.data))
 
 
 def test_backward_accumulates_through_diamond():

@@ -215,3 +215,24 @@ def test_train_config_is_checked_before_inputs(tmp_path, capsys, cmd):
     assert run(cmd, cfgp, str(tmp_path)) == 1
     assert ("error: unknown key(s) in train.config: epochz"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("cmd, extra, key", [
+    ("synth", {"sed": 3}, "sed"),
+    ("synth", {"train": {"window": "12"}}, "train.window"),
+    ("synth", {"seed": "x"}, "seed"),
+    ("synth", {"city": {"synth": []}}, "city.synth"),
+    ("synth", {"city": {"synth": {"n_pois": "6"}}}, "city.synth.n_pois"),
+    ("synth", {"paths": {"pois": 3}}, "paths.pois"),
+    ("pretrain", {"train": {"config": {"epochs": 2.0}}}, "train.config.epochs"),
+])
+def test_bad_config_key_or_type_is_an_error_line(tmp_path, capsys, cmd, extra,
+                                                 key):
+    # no inputs exist, and a bad config must stop the stage before it reads
+    # or writes anything
+    cfgp = write_config(str(tmp_path), extra)
+    assert run(cmd, cfgp, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]

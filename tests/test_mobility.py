@@ -256,6 +256,21 @@ def test_collate_padding_and_mask():
     assert np.allclose(batch.targets, batch.raw_targets / stats.flow_max)
 
 
+def test_overlapping_windows_share_read_only_series_arrays():
+    snaps = toy_snapshots(6)
+    wins = make_windows(snaps, toy_pois(), [], toy_stats(), 4, stride=1)
+    for a, b in zip(wins, wins[1:]):
+        assert np.shares_memory(a.adjacency, b.adjacency)
+        assert np.shares_memory(a.features, b.features)
+    for w in wins:
+        for t in range(4):
+            assert np.array_equal(w.adjacency[t],
+                                  normalized_adjacency(snaps[w.start + t], 3))
+    for arr in (wins[0].adjacency, wins[0].features):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+
 def test_collate_rejects_empty():
     with pytest.raises(ValueError):
         collate([], toy_stats())
@@ -342,6 +357,11 @@ def test_norm_stats_roundtrip(small_snapshots):
     assert np.allclose(back.feature_min, stats.feature_min)
     assert np.allclose(back.feature_max, stats.feature_max)
     assert back.flow_max == stats.flow_max
+
+
+def test_flow_scale_falls_back_to_one_without_flow():
+    assert mobility.NormStats(np.zeros(6), np.ones(6), 4.0).flow_scale == 4.0
+    assert mobility.NormStats(np.zeros(6), np.ones(6), 0.0).flow_scale == 1.0
 
 
 def test_build_snapshots_interval_count(small_city):

@@ -337,3 +337,18 @@ def test_cursor_cycles_through_starts():
         env.run_episode(ZeroPolicy(), np.random.default_rng(0))
         starts.append(c)
     assert starts == [0, 1, 2, 0, 1]  # 4 windows -> 3 usable starts
+
+
+def test_window_forward_embeds_once_per_cache_miss(monkeypatch):
+    env = make_env()
+    calls = []
+    embed = env.model.encoder.embed_features
+
+    def counting(x):
+        calls.append(1)
+        return embed(x)
+
+    monkeypatch.setattr(env.model.encoder, "embed_features", counting)
+    for idx in (0, 1, 0, 1, 2):
+        env._window_forward(idx)
+    assert len(calls) == 3
