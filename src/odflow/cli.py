@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -75,12 +76,15 @@ def load_config(path, seed=None, out_dir=None):
 
 
 def _check_type(value, want, name):
-    """CliError naming `name` unless `value` is a `want`; an int is also a
-    float, and a bool is never a number."""
+    """CliError naming `name` (or `name[i]`, for an element of a `list[...]`)
+    unless `value` is a `want`; an int is a float, a bool never a number."""
+    elem, want = typing.get_args(want), typing.get_origin(want) or want
     ok = isinstance(value, (int, float) if want is float else want)
     if not ok or (isinstance(value, bool) and want is not bool):
         raise CliError(f"{name} must be of type {want.__name__}, "
                        f"not {type(value).__name__} ({value!r})")
+    for i, v in enumerate(value if elem else ()):
+        _check_type(v, elem[0], f"{name}[{i}]")
 
 
 def _merge(base, extra, prefix=""):
@@ -99,16 +103,20 @@ def _merge(base, extra, prefix=""):
             base[key] = value
 
 
-def _build(cls, d, section):
-    """Dataclass `cls` from config section `d`; a key that is not a field of
-    `cls`, or a value that does not fit the field's type, is a CliError."""
+def _build(cls, d, section, **shared):
+    """Dataclass `cls` from config section `d` plus `shared` fields set by
+    keys outside it; a key of `d` that is unknown or shared, or a value that
+    does not fit its field's type, is a CliError."""
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(d) - set(fields))
     if unknown:
         raise CliError(f"unknown key(s) in {section}: {', '.join(unknown)}")
     for key, value in d.items():
+        if key in shared:
+            where = {"seed": "seed", "interval_s": "city.interval_s"}[key]
+            raise CliError(f"{section}.{key} is not a config key; set {where}")
         _check_type(value, fields[key], f"{section}.{key}")
-    return cls(**d)
+    return cls(**d, **shared)
 
 
 def _require(path, what):
@@ -151,21 +159,19 @@ def _load_inputs(cfg):
 
 
 def _train_config(cfg):
-    return _build(TrainConfig, {**cfg["train"]["config"], "seed": cfg["seed"]},
-                  "train.config")
+    return _build(TrainConfig, cfg["train"]["config"], "train.config",
+                  seed=cfg["seed"])
 
 
-def _windows_for(snapshots, pois, weather, stats, cfg, target_mode,
-                 stride=None):
+def _windows_for(snapshots, pois, weather, stats, cfg, stride=None):
     t = cfg["train"]["window"]
     return mobility.make_windows(snapshots, pois, weather, stats, t,
-                                 stride=stride or cfg["train"]["stride"],
-                                 target_mode=target_mode)
+                                 stride=stride or cfg["train"]["stride"])
 
 
 def cmd_synth(cfg):
-    city = _build(synthcity.CityConfig,
-                  {"seed": cfg["seed"], **cfg["city"]["synth"]}, "city.synth")
+    city = _build(synthcity.CityConfig, cfg["city"]["synth"], "city.synth",
+                  seed=cfg["seed"], interval_s=cfg["city"]["interval_s"])
     pois, xy = synthcity.generate_city(city)
     points = synthcity.simulate_traces(city, pois, xy)
     weather = synthcity.generate_weather(city)
@@ -201,8 +207,8 @@ def cmd_pretrain(cfg):
     t = cfg["train"]["window"]
     train_s, val_s, _ = split_dataset(snapshots, "source", t)
     stats = mobility.compute_norm_stats(train_s, pois, weather)
-    train_w = _windows_for(train_s, pois, weather, stats, cfg, tc.target_mode)
-    val_w = _windows_for(val_s, pois, weather, stats, cfg, tc.target_mode)
+    train_w = _windows_for(train_s, pois, weather, stats, cfg)
+    val_w = _windows_for(val_s, pois, weather, stats, cfg)
     model = Model(enc, dec, seed=cfg["seed"])
     step_log, epoch_log = [], []
     ckpt = pretrain(model, train_w, val_w, stats, tc,
@@ -229,10 +235,9 @@ def cmd_coldstart(cfg):
     # last fifth of the cold-start slice doubles as the validation series
     cut = max(t, int(len(cold_s) * 0.8))
     stats = mobility.compute_norm_stats(cold_s[:cut], pois, weather)
-    train_w = _windows_for(cold_s[:cut], pois, weather, stats, cfg,
-                           tc.target_mode)
+    train_w = _windows_for(cold_s[:cut], pois, weather, stats, cfg)
     val_w = _windows_for(cold_s[max(0, cut - t + 1):], pois, weather, stats,
-                         cfg, tc.target_mode)
+                         cfg)
     ckpt = Checkpoint.load(src)
     step_log, epoch_log = [], []
     out = coldstart_finetune(ckpt, train_w, val_w, stats, freeze, tc,
@@ -249,7 +254,7 @@ def cmd_rl_finetune(cfg):
     episodes = cfg["rl"]["episodes"]
     if episodes < 1:
         raise CliError(f"rl.episodes must be positive, not {episodes}")
-    tc = _train_config(cfg)
+    _train_config(cfg)  # the same train.config check as every training stage
     reward_cfg = _build(RewardConfig, cfg["rl"]["reward"], "rl.reward")
     ppo_cfg = _build(PpoConfig, cfg["rl"]["ppo"], "rl.ppo")
     path = os.path.join(cfg["paths"]["checkpoints"], "coldstart.upck")
@@ -259,7 +264,7 @@ def cmd_rl_finetune(cfg):
     _, rl_s, _ = split_dataset(snapshots, "target", t)
     ckpt = Checkpoint.load(path)
     stats = ckpt.norm_stats
-    windows = _windows_for(rl_s, pois, weather, stats, cfg, tc.target_mode,
+    windows = _windows_for(rl_s, pois, weather, stats, cfg,
                            stride=max(1, t // 4))
     model = ckpt.build_model()
     policy, _, env, rewards = train_rl(model, windows, stats, reward_cfg,
@@ -281,7 +286,7 @@ def cmd_rl_finetune(cfg):
 
 
 def cmd_evaluate(cfg):
-    tc = _train_config(cfg)
+    _train_config(cfg)  # the same train.config check as every training stage
     name = cfg["eval_checkpoint"]
     path = name if os.path.sep in name else os.path.join(
         cfg["paths"]["checkpoints"], name)
@@ -293,7 +298,7 @@ def cmd_evaluate(cfg):
     eval_s = splits[2]
     ckpt = Checkpoint.load(path)
     stats = ckpt.norm_stats
-    windows = _windows_for(eval_s, pois, weather, stats, cfg, tc.target_mode)
+    windows = _windows_for(eval_s, pois, weather, stats, cfg)
     model = ckpt.build_model()
     report = evaluate(model, windows, stats)
     _write_csv(os.path.join(cfg["paths"]["reports"], "eval_outcomes.csv"),

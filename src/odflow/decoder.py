@@ -18,6 +18,8 @@ class DecoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be at least 1, not {self.heads}")
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
 

@@ -16,13 +16,16 @@ N_CONTINUOUS = 6
 class EncoderConfig:
     n_types: int = 6
     poi_embed_dim: int = 6
-    temporal_channels: list = field(default_factory=lambda: [32, 64])
+    temporal_channels: list[int] = field(default_factory=lambda: [32, 64])
     kernel_size: int = 3
-    gcn_widths: list = field(default_factory=lambda: [128, 256])
+    gcn_widths: list[int] = field(default_factory=lambda: [128, 256])
     edge_dim: int = 256
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("temporal_channels", "gcn_widths"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must list at least one layer, not []")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
         if list(self.gcn_widths) != sorted(set(self.gcn_widths)):

@@ -278,7 +278,6 @@ class NormStats:
     feature_min: np.ndarray
     feature_max: np.ndarray
     flow_max: float
-    precip_cap: float = PRECIP_CAP_MMH
 
     @property
     def flow_scale(self):
@@ -289,16 +288,16 @@ class NormStats:
         return {"feature_min": list(map(float, self.feature_min)),
                 "feature_max": list(map(float, self.feature_max)),
                 "flow_max": float(self.flow_max),
-                "precip_cap": float(self.precip_cap)}
+                "precip_cap": PRECIP_CAP_MMH}  # kept for the v1 format
 
     @classmethod
     def from_dict(cls, d):
         return cls(np.array(d["feature_min"]), np.array(d["feature_max"]),
-                   d["flow_max"], d.get("precip_cap", PRECIP_CAP_MMH))
+                   d["flow_max"])
 
 
-def transform_precip(p, cap=PRECIP_CAP_MMH):
-    return np.log1p(np.minimum(p, cap))
+def transform_precip(p):
+    return np.log1p(np.minimum(p, PRECIP_CAP_MMH))
 
 
 def _weather_for(snapshots, weather):
@@ -403,13 +402,12 @@ class WindowedBatch:
     target_steps: list
 
 
-def make_windows(snapshots, pois, weather, stats, t_window, stride=1,
-                 target_mode="final_step"):
-    """Sliding windows of T snapshots; candidate edges are the deduplicated,
-    sorted union of edges observed anywhere in the window.  Each window's
+def make_windows(snapshots, pois, weather, stats, t_window, stride=1):
+    """Sliding windows of T snapshots, scored at their final step; candidate
+    edges are the sorted union of edges observed anywhere in the window.
     `features` and `adjacency` are read-only views of one array per series."""
-    if target_mode not in ("final_step", "all_steps"):
-        raise ValueError(f"unknown target_mode {target_mode!r}")
+    if t_window < 1 or stride < 1:
+        raise ValueError(f"window {t_window} and stride {stride} must be >= 1")
     if len(snapshots) < t_window:
         raise ValueError("series shorter than the window length")
     feats = normalize(snapshots, pois, weather, stats)  # (T_all, N, 7)
@@ -428,12 +426,9 @@ def make_windows(snapshots, pois, weather, stats, t_window, stride=1,
         for t, s in enumerate(chunk):
             for i, j, w in s.edges:
                 flows[t, slot[(i, j)]] = w
-        if target_mode == "final_step":
-            steps = [t_window - 1]
-        else:
-            steps = list(range(t_window))
         windows.append(Window(start, feats[start:start + t_window].transpose(1, 2, 0),
-                              adj[start:start + t_window], cand, flows, steps))
+                              adj[start:start + t_window], cand, flows,
+                              [t_window - 1]))
     return windows
 
 

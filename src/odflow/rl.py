@@ -228,13 +228,13 @@ class HeadAdaptEnv:
     """
 
     def __init__(self, model, windows, stats, reward_cfg, episode_len=8,
-                 standardizer=None, n_blocks=32):
+                 n_blocks=32):
         self.model = model
         self.windows = windows
         self.stats = stats
         self.reward_cfg = reward_cfg
         self.episode_len = episode_len
-        self.standardizer = standardizer or RunningStandardizer(STATE_DIM)
+        self.standardizer = RunningStandardizer(STATE_DIM)
         self.g = grouping_matrix(n_blocks=n_blocks)
         self.w0 = model.params["decoder.head.w_out"].data.copy()
         self.b0 = model.params["decoder.head.b_out"].data.copy()

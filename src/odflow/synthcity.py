@@ -41,7 +41,7 @@ class CityConfig:
     n_agents: int = 500
     extent_km: float = 20.0
     n_intervals: int = 288
-    diurnal_profile: list = field(default_factory=_default_profile)
+    diurnal_profile: list[float] = field(default_factory=_default_profile)
     attraction_exponent: float = 3.0
     move_prob: float = 0.10
     gps_jitter_deg: float = 5e-5
@@ -53,8 +53,11 @@ class CityConfig:
             raise ValueError("need at least 2 POIs")
         if self.n_intervals < 12:
             raise ValueError("need at least 12 intervals")
-        if any(m < 0 for m in self.diurnal_profile):
-            raise ValueError("diurnal multipliers must be nonnegative")
+        if len(self.diurnal_profile) != 24 or min(self.diurnal_profile) < 0:
+            raise ValueError("diurnal_profile needs 24 nonnegative multipliers")
+        # the simulator takes 3600 // interval_s and a % (interval_s - 2)
+        if not 3 <= self.interval_s <= 3600:
+            raise ValueError(f"interval_s must be in 3..3600, not {self.interval_s}")
 
 
 def _km_per_deg_lon(lat):

@@ -22,7 +22,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 4
     seed: int = 0
-    target_mode: str = "final_step"
 
 
 def _layer_of(key):
@@ -114,18 +113,18 @@ def _epoch_batches(windows, batch_size, rng):
         yield [windows[j] for j in order[i:i + batch_size]]
 
 
-def _loss_on(model, batch, target_steps, training=False, rng=None):
+def _loss_on(model, batch, training=False, rng=None):
     pred, _, _, _ = model.forward(batch, training=training, rng=rng)
-    return masked_mse_loss(pred, batch.targets, batch.mask, target_steps)
+    return masked_mse_loss(pred, batch.targets, batch.mask, batch.target_steps)
 
 
-def dataset_loss(model, windows, stats, batch_size=8):
+def dataset_loss(model, windows, stats, batch_size=1):
     """Masked MSE over a window list in evaluation mode."""
     total = 0.0
     count = 0
     for i in range(0, len(windows), batch_size):
         batch = collate(windows[i:i + batch_size], stats)
-        loss = _loss_on(model, batch, batch.target_steps)
+        loss = _loss_on(model, batch)
         n = int(batch.mask[:, batch.target_steps, :].sum())
         total += loss.item() * n
         count += n
@@ -152,8 +151,7 @@ def train_model(model, train_windows, val_windows, stats, config,
         for windows in _epoch_batches(train_windows, config.batch_size, rng):
             batch = collate(windows, stats)
             model.zero_grad()
-            loss = _loss_on(model, batch, batch.target_steps, training=True,
-                            rng=rng)
+            loss = _loss_on(model, batch, training=True, rng=rng)
             if config.l2_coeff:
                 for p in trainable:
                     loss = loss + config.l2_coeff * (p * p).sum()
@@ -242,7 +240,7 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def evaluate(model, windows, stats, batch_size=8):
+def evaluate(model, windows, stats, batch_size=1):
     """MSE/MAE in normalized units plus per-step correct/over/under counts.
 
     Counts compare the de-normalized prediction, rounded half away from
@@ -280,18 +278,12 @@ def evaluate(model, windows, stats, batch_size=8):
 
 def mean_baseline_mse(train_windows, eval_windows, stats):
     """MSE of predicting the training-split mean normalized flow everywhere."""
-    vals = []
-    for w in train_windows:
-        batch = collate([w], stats)
-        for t in batch.target_steps:
-            vals.extend(batch.targets[0, t, :][batch.mask[0, t, :]])
-    mean = float(np.mean(vals)) if vals else 0.0
-    sq = 0.0
-    n = 0
-    for w in eval_windows:
-        batch = collate([w], stats)
-        for t in batch.target_steps:
-            err = mean - batch.targets[0, t, :][batch.mask[0, t, :]]
-            sq += float((err ** 2).sum())
-            n += len(err)
-    return sq / n if n else 0.0
+    def scored(windows):
+        return [w.flows[t] / stats.flow_scale
+                for w in windows for t in w.target_steps]
+
+    vals = np.concatenate([np.zeros(0)] + scored(train_windows))
+    mean = float(np.mean(vals)) if vals.size else 0.0
+    errs = [mean - f for f in scored(eval_windows)]
+    n = sum(len(e) for e in errs)
+    return sum(float((e ** 2).sum()) for e in errs) / n if n else 0.0

@@ -4,9 +4,11 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from odflow.cli import load_config, main
+from odflow.mobility import load_snapshots
 from odflow.model import Checkpoint
 
 SMALL_CONFIG = {
@@ -225,6 +227,17 @@ def test_train_config_is_checked_before_inputs(tmp_path, capsys, cmd):
     ("synth", {"city": {"synth": {"n_pois": "6"}}}, "city.synth.n_pois"),
     ("synth", {"paths": {"pois": 3}}, "paths.pois"),
     ("pretrain", {"train": {"config": {"epochs": 2.0}}}, "train.config.epochs"),
+    # keys another key sets, a removed key, and intervals out of range
+    ("synth", {"city": {"synth": {"seed": 3}}},
+     "city.synth.seed is not a config key; set seed"),
+    ("pretrain", {"train": {"config": {"seed": 123}}},
+     "train.config.seed is not a config key; set seed"),
+    ("synth", {"city": {"synth": {"interval_s": 600}}},
+     "city.synth.interval_s is not a config key; set city.interval_s"),
+    ("evaluate", {"train": {"config": {"target_mode": "final_step"}}},
+     "train.config: target_mode"),
+    ("synth", {"city": {"interval_s": 7200}}, "interval_s must be in 3..3600"),
+    ("synth", {"city": {"interval_s": 2}}, "interval_s must be in 3..3600"),
 ])
 def test_bad_config_key_or_type_is_an_error_line(tmp_path, capsys, cmd, extra,
                                                  key):
@@ -236,3 +249,75 @@ def test_bad_config_key_or_type_is_an_error_line(tmp_path, capsys, cmd, extra,
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def _files(d):
+    return {os.path.join(r, n): (os.stat(os.path.join(r, n)).st_mtime_ns,
+                                 os.path.getsize(os.path.join(r, n)))
+            for r, _, names in os.walk(d) for n in names}
+
+
+@pytest.mark.parametrize("cmd, key, value, message", [
+    ("pretrain", "model.decoder.heads", 0, "heads must be at least 1, not 0"),
+    ("pretrain", "model.encoder.temporal_channels", [],
+     "temporal_channels must list at least one layer"),
+    ("pretrain", "model.encoder.gcn_widths", [],
+     "gcn_widths must list at least one layer"),
+    ("pretrain", "model.encoder.temporal_channels", ["a"],
+     "model.encoder.temporal_channels[0] must be of type int"),
+    ("pretrain", "model.encoder.gcn_widths", [256, "x"],
+     "model.encoder.gcn_widths[1] must be of type int"),
+    ("synth", "city.synth.diurnal_profile", [1.0] * 23,
+     "diurnal_profile needs 24"),
+    ("synth", "city.synth.diurnal_profile", [1.0] * 23 + ["x"],
+     "city.synth.diurnal_profile[23] must be of type float"),
+    ("pretrain", "train.stride", 0, "stride 0 must be >= 1"),
+    ("coldstart", "train.window", 0, "window 0 and"),
+    ("evaluate", "train.window", -1, "window -1 and"),
+])
+def test_bad_value_with_inputs_present_is_an_error_line(
+        pipeline_dir, tmp_path, capsys, cmd, key, value, message):
+    # every input exists, so the error comes from the value itself
+    d = str(tmp_path / "run")
+    shutil.copytree(pipeline_dir, d)
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["paths"] = {"source_checkpoint":
+                    os.path.join(d, "checkpoints", "pretrain.upck")}
+    *outer, last = key.split(".")
+    section = cfg
+    for part in outer:
+        section = section.setdefault(part, {})
+    section[last] = value
+    cfgp = os.path.join(d, "config.json")
+    with open(cfgp, "w") as f:
+        json.dump(cfg, f)
+    before = _files(d)
+    capsys.readouterr()
+    assert run(cmd, cfgp, d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert _files(d) == before
+
+
+def test_seed_option_sets_the_synthetic_city(tmp_path):
+    traces = []
+    for seed in ("5", "9"):
+        out = str(tmp_path / seed)
+        assert main(["synth", "--config", write_config(str(tmp_path)),
+                     "--out", out, "--seed", seed]) == 0
+        traces.append((tmp_path / seed / "traces.csv").read_bytes())
+    assert traces[0] != traces[1]
+
+
+def test_city_interval_sets_synth_and_ingest(tmp_path):
+    # synth and ingest share city.interval_s: 900 s traces cut into 600 s
+    # buckets would give 59 snapshots, every third one empty
+    city = dict(SMALL_CONFIG["city"], interval_s=600)
+    cfgp = write_config(str(tmp_path), {"city": city})
+    for cmd in ("synth", "ingest"):
+        assert run(cmd, cfgp, str(tmp_path)) == 0
+    snapshots = load_snapshots(str(tmp_path / "snapshots.jsonl"))
+    assert len(snapshots) == city["synth"]["n_intervals"]
+    pops = np.array([s.populations.sum() for s in snapshots])
+    assert (pops == city["synth"]["n_agents"]).all()

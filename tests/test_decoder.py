@@ -18,6 +18,8 @@ def small_decoder(layers=1, heads=2, d=8, f=16, dropout=0.0, seed=0):
 def test_config_validation():
     with pytest.raises(ValueError):
         DecoderConfig(model_dim=10, heads=4)
+    with pytest.raises(ValueError, match="heads must be at least 1, not 0"):
+        DecoderConfig(heads=0)
 
 
 def test_token_dim_mismatch_raises():

@@ -42,6 +42,10 @@ def test_config_validation():
         small_config(gcn_widths=[16, 8], edge_dim=8)
     with pytest.raises(ValueError):
         small_config(gcn_widths=[8], edge_dim=16)
+    with pytest.raises(ValueError, match="temporal_channels"):
+        small_config(temporal_channels=[])
+    with pytest.raises(ValueError, match="gcn_widths"):
+        small_config(gcn_widths=[])
 
 
 def test_positional_encoding_first_column():

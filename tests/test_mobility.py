@@ -228,6 +228,10 @@ def test_window_counts():
     assert len(make_windows(toy_snapshots(10), pois, [], stats, 2, stride=3)) == 3
     with pytest.raises(ValueError):
         make_windows(toy_snapshots(3), pois, [], stats, 4)
+    with pytest.raises(ValueError, match="window 0"):
+        make_windows(toy_snapshots(3), pois, [], stats, 0)
+    with pytest.raises(ValueError, match="stride 0"):
+        make_windows(toy_snapshots(3), pois, [], stats, 2, stride=0)
 
 
 def test_window_candidate_union_and_zero_fill():

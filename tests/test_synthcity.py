@@ -25,6 +25,13 @@ def test_config_validation():
         CityConfig(n_intervals=6)
     with pytest.raises(ValueError):
         CityConfig(diurnal_profile=[-1.0] * 24)
+    with pytest.raises(ValueError, match="diurnal_profile"):
+        CityConfig(diurnal_profile=[1.0] * 23)
+    for interval_s in (2, 3601, 7200):
+        with pytest.raises(ValueError, match=f"not {interval_s}"):
+            CityConfig(interval_s=interval_s)
+    for interval_s in (3, 3600):
+        assert CityConfig(interval_s=interval_s).interval_s == interval_s
 
 
 def test_determinism():

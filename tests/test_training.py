@@ -293,3 +293,14 @@ def test_mean_baseline_mse_hand_value():
     mean = train_vals.mean()
     eval_vals = wins[1].flows[3] / stats.flow_max
     assert base == pytest.approx(((mean - eval_vals) ** 2).mean())
+    # the same bits as scoring padded one-window batches
+    wins = toy_windows(6, seed=5)
+    for w in wins[::2]:
+        w.candidate_edges, w.flows = w.candidate_edges[:1], w.flows[:, :1]
+    batches = [collate([w], stats) for w in wins]
+    scored = [b.targets[0, t][b.mask[0, t]] for b in batches
+              for t in b.target_steps]
+    mean = float(np.mean(np.concatenate(scored[:3])))
+    errs = [mean - v for v in scored[3:]]
+    want = sum(float((e ** 2).sum()) for e in errs) / sum(map(len, errs))
+    assert mean_baseline_mse(wins[:3], wins[3:], stats) == want
